@@ -388,9 +388,9 @@ func TestSynthesizeMessagePerCrossedNetwork(t *testing.T) {
 	}
 	// Both buses must show up in the timing acceptance test.
 	resources := make(map[string]bool)
-	jobs, _ := m.timingJobs(nil, impl)
-	for _, j := range jobs {
-		resources[j.resource] = true
+	edits, _ := m.timingFootprint(nil, impl, nil)
+	for _, e := range edits {
+		resources[e.job.resource] = true
 	}
 	if !resources["netA"] || !resources["netB"] {
 		t.Fatalf("timing jobs cover %v, want both networks", resources)
@@ -464,13 +464,14 @@ func TestTimingAnalysisErrorSurfacedAsFinding(t *testing.T) {
 	if !found {
 		t.Fatalf("no analysis-error finding naming the resource: %v", out.findings)
 	}
-	// The errored resource is excluded from the timing delta but the digest
-	// map still covers it (so a later fix is detected as dirty).
+	// The errored resource is excluded from the timing delta but stays in
+	// the timing footprint with its digest (so a later fix is detected as
+	// dirty).
 	if len(out.delta) != 0 {
 		t.Fatalf("errored resource kept a WCRT table: %+v", out.delta)
 	}
-	if _, ok := out.digests["only"]; !ok {
-		t.Fatal("errored resource missing from digest map")
+	if e := m.pendingEdits; len(e) != 1 || e[0].job.resource != "only" || e[0].job.digest == 0 {
+		t.Fatalf("errored resource missing from the timing footprint: %+v", e)
 	}
 }
 
@@ -497,14 +498,8 @@ func TestReintegrationRejectionKeepsDeployedStateUntouched(t *testing.T) {
 	}
 
 	implBefore := m.DeployedImpl()
-	timingBefore := make(map[string]TimingResult, len(m.deployedTiming))
-	for k, v := range m.deployedTiming {
-		timingBefore[k] = v
-	}
-	digestBefore := make(map[string]uint64, len(m.deployedDigest))
-	for k, v := range m.deployedDigest {
-		digestBefore[k] = v
-	}
+	tableBefore := m.deployedRes
+	entriesBefore := committedEntries(m)
 
 	// Observed 5200us for c: within its 14000us deadline (contract
 	// validation passes) but unschedulable next to a (WCRT 15600).
@@ -523,11 +518,11 @@ func TestReintegrationRejectionKeepsDeployedStateUntouched(t *testing.T) {
 	if m.DeployedImpl() != implBefore {
 		t.Fatal("deployed implementation model replaced after rejection")
 	}
-	if !reflect.DeepEqual(m.deployedTiming, timingBefore) {
-		t.Fatalf("WCRT tables changed after rejection:\nwas %+v\nnow %+v", timingBefore, m.deployedTiming)
+	if m.deployedRes != tableBefore {
+		t.Fatal("committed timing table replaced after rejection")
 	}
-	if !reflect.DeepEqual(m.deployedDigest, digestBefore) {
-		t.Fatalf("digests changed after rejection:\nwas %+v\nnow %+v", digestBefore, m.deployedDigest)
+	if got := committedEntries(m); !reflect.DeepEqual(got, entriesBefore) {
+		t.Fatalf("committed timing entries (digests, task sets, WCRT tables) changed after rejection:\nwas %+v\nnow %+v", entriesBefore, got)
 	}
 	// A subsequent benign proposal still integrates cleanly.
 	if rep := m.ProposeUpdate(fn("t", model.QM, 100000, 1000, 1)); !rep.Accepted {

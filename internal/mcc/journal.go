@@ -102,17 +102,11 @@ type cacheJournal struct {
 	// Window-start map pointers. Keyed commits mutate these in place
 	// (journaled below); a from-scratch commit swaps in fresh maps and
 	// leaves these untouched.
-	digestMap map[string]uint64
-	timingMap map[string]TimingResult
-	jobsMap   map[string]timingJob
-	secMap    map[model.Connection]bool
-	synth     *synthCache
-	svcMap    map[string]int
+	secMap map[model.Connection]bool
+	synth  *synthCache
+	svcMap map[string]int
 
 	// Keyed undo entries, recorded against the window-start maps.
-	digests   map[string]prior[uint64]
-	timing    map[string]prior[TimingResult]
-	jobs      map[string]prior[timingJob]
 	sec       map[model.Connection]prior[bool]
 	synFns    map[string]prior[*model.Function]
 	synIns    map[string]prior[[]model.Instance]
@@ -129,27 +123,6 @@ type cacheJournal struct {
 // into; they are nil-receiver-safe and return nil once the journal is
 // detached (or when no window is open), which jset/jdel treat as "plain
 // write".
-
-func (j *cacheJournal) jDigests() map[string]prior[uint64] {
-	if j == nil || j.detached {
-		return nil
-	}
-	return j.digests
-}
-
-func (j *cacheJournal) jTiming() map[string]prior[TimingResult] {
-	if j == nil || j.detached {
-		return nil
-	}
-	return j.timing
-}
-
-func (j *cacheJournal) jJobs() map[string]prior[timingJob] {
-	if j == nil || j.detached {
-		return nil
-	}
-	return j.jobs
-}
 
 func (j *cacheJournal) jSec() map[model.Connection]prior[bool] {
 	if j == nil || j.detached {
@@ -223,15 +196,9 @@ func (m *MCC) beginWindow() *cacheJournal {
 		resTable:  m.deployedRes,
 		connIdx:   m.deployedConnIdx,
 		instTotal: m.deployedInstTotal,
-		digestMap: m.deployedDigest,
-		timingMap: m.deployedTiming,
-		jobsMap:   m.deployedJobs,
 		secMap:    m.deployedSecVerdicts,
 		synth:     m.deployedSynth,
 		svcMap:    m.svcProviders,
-		digests:   make(map[string]prior[uint64]),
-		timing:    make(map[string]prior[TimingResult]),
-		jobs:      make(map[string]prior[timingJob]),
 		sec:       make(map[model.Connection]prior[bool]),
 		synFns:    make(map[string]prior[*model.Function]),
 		synIns:    make(map[string]prior[[]model.Instance]),
@@ -298,15 +265,9 @@ func (m *MCC) rollbackWindow(j *cacheJournal) {
 		m.purgeIncrementalState()
 		return
 	}
-	m.deployedDigest = j.digestMap
-	m.deployedTiming = j.timingMap
-	m.deployedJobs = j.jobsMap
 	m.deployedSecVerdicts = j.secMap
 	m.deployedSynth = j.synth
 	m.svcProviders = j.svcMap
-	jrevert(j.digests, m.deployedDigest)
-	jrevert(j.timing, m.deployedTiming)
-	jrevert(j.jobs, m.deployedJobs)
 	jrevert(j.sec, m.deployedSecVerdicts)
 	if j.svcMap != nil {
 		jrevert(j.svcProv, m.svcProviders)
@@ -327,9 +288,6 @@ func (m *MCC) rollbackWindow(j *cacheJournal) {
 // rebuilds the caches wholesale (commitFull), lifting the quarantine.
 func (m *MCC) purgeIncrementalState() {
 	m.quarantined = true
-	m.deployedDigest = make(map[string]uint64)
-	m.deployedTiming = make(map[string]TimingResult)
-	m.deployedJobs = nil
 	m.deployedRes = nil
 	m.deployedSynth = nil
 	m.pendingSynth = nil

@@ -119,28 +119,19 @@ type MCC struct {
 	incPre bool
 	// workers bounds the goroutines analyzing dirty resources in parallel.
 	workers int
-	// deployedDigest/deployedTiming hold the per-resource task-set digests
-	// and WCRT tables of the currently committed configuration; a candidate
-	// resource whose digest matches is clean and reuses the deployed table.
-	deployedDigest map[string]uint64
-	deployedTiming map[string]TimingResult
-	// deployedJobs caches the committed per-resource CPA task sets so the
-	// timing stage can splice clean resources' jobs without re-scanning
-	// the implementation model (diff-proportional job construction).
-	deployedJobs map[string]timingJob
-	// deployedRes is the committed timing state as a chunked persistent
-	// table in deterministic resource order (loaded processors sorted by
-	// name, then loaded networks in platform order): each entry pairs the
-	// committed CPA job with its committed WCRT table. It accelerates the
-	// maps above — a proposal's job construction merges it against the
-	// small sorted affected set, copying untouched entries positionally
-	// without a single map lookup — and it is what accepted reports bind
-	// their whole-table views to (Report.FullTiming/FullMonitors). The
-	// maps stay authoritative; a nil table (purge, cold controller) falls
-	// back to the map walk. Keyed commits patch it copy-on-write (spine
-	// plus affected chunks, O(diff)), so the previous pointer — a window
-	// journal's rollback point, a bound report's snapshot — stays valid
-	// and shares every untouched chunk.
+	// deployedRes is the committed timing state, the only one the MCC
+	// keeps: a chunked persistent table in deterministic resource order
+	// (loaded processors sorted by name, then loaded networks in platform
+	// order), each entry pairing a resource's committed CPA job and
+	// task-set digest with its committed WCRT table. A proposal's timing
+	// footprint locates its rebuilt jobs in it by position; a job whose
+	// committed entry has the same digest and a known table is clean and
+	// reuses the table. Accepted reports bind their whole-table views to
+	// it (Report.FullTiming/FullMonitors). Commits patch it copy-on-write
+	// (spine plus affected chunks, O(diff)) or, when resources gain or lose
+	// load, rebuild it, so the previous pointer — a window journal's
+	// rollback point, a bound report's snapshot — stays valid. Nil until
+	// the first commit and after a cache purge.
 	deployedRes *resTable
 	// windowHeals, while a stream window is open, collects the verified
 	// deferred timing verdicts keyed by {resource, task-set digest}.
@@ -152,7 +143,7 @@ type MCC struct {
 	windowHeals map[resDigestKey]TimingResult
 	// deployedSynth caches the committed synthesis lookup tables (function
 	// contracts by name, replica instances by function, per-processor task
-	// lists) next to deployedJobs, so incremental synthesis splices
+	// lists) next to deployedRes, so incremental synthesis splices
 	// untouched processors' task lists without re-deriving synthLookups;
 	// commits invalidate only diff-touched entries. Maintained only while
 	// the pre-timing stages run incrementally (incPre).
@@ -161,7 +152,7 @@ type MCC struct {
 	// incremental synthesis, applied to deployedSynth by the commit stage.
 	pendingSynth *synthOverlay
 	// deployedSecVerdicts caches the committed per-connection security
-	// verdicts next to deployedJobs/deployedSynth. Every key is a
+	// verdicts next to deployedRes/deployedSynth. Every key is a
 	// connection of the committed implementation model that passed the
 	// cross-domain check (a configuration only commits after the security
 	// stage accepted it, so the cached verdict is always "clean"); the
@@ -229,13 +220,13 @@ type MCC struct {
 	// materializing the flat instance list it no longer builds.
 	deployedInstTotal int
 
-	// pendingJobs is the job list of the most recent timing-stage run,
-	// handed from the timing stage to the monitor and commit stages.
-	pendingJobs []timingJob
-	// pendingResults holds the per-job WCRT tables of the most recent
-	// non-deferred timing run, indexed like pendingJobs (nil under
-	// deferred checks, where dirty analyses have not run yet); the keyed
-	// commit reads the results of scanned resources from it.
+	// pendingEdits is the timing footprint of the most recent timing-stage
+	// run — its rebuilt jobs located in the committed table — handed from
+	// the timing stage to the monitor and commit stages.
+	pendingEdits []resEdit
+	// pendingResults holds the WCRT table each pending edit commits with,
+	// indexed like pendingEdits: the committed table of a clean entry, the
+	// fresh analysis of a dirty one, or none yet under deferred checks.
 	pendingResults []TimingResult
 	// procs is the platform's processor-name iteration order, sorted once
 	// at construction (the platform is immutable for the MCC's lifetime).
@@ -359,14 +350,6 @@ func WithProposalDeadline(d time.Duration) Option {
 	}
 }
 
-// WithoutIncrementalTiming disables the memoized analyzer and the
-// dirty-resource tracking, re-running the full busy-window analysis over
-// every resource on every proposal. The pre-timing stages stay
-// incremental; see WithoutIncremental for the full from-scratch baseline.
-func WithoutIncrementalTiming() Option {
-	return func(m *MCC) { m.incTiming = false }
-}
-
 // WithoutIncremental disables every incremental stage: validation,
 // mapping, synthesis, and timing all run from scratch on every proposal.
 // This is the seed behavior, kept as the measurable baseline for
@@ -413,8 +396,7 @@ func WithStage(s pipeline.Stage) Option {
 // (scoped validation, warm-started mapping, partial synthesis, memoized
 // timing with dirty tracking) and dirty resources fan out over a
 // GOMAXPROCS-sized worker pool; see WithoutIncremental,
-// WithTimingOnlyIncremental, WithoutIncrementalTiming, WithTimingWorkers,
-// and WithStage.
+// WithTimingOnlyIncremental, WithTimingWorkers, and WithStage.
 func New(p *model.Platform, opts ...Option) (*MCC, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -428,8 +410,6 @@ func New(p *model.Platform, opts ...Option) (*MCC, error) {
 		incPre:         true,
 		historyLimit:   defaultHistoryLimit,
 		workers:        runtime.GOMAXPROCS(0),
-		deployedDigest: make(map[string]uint64),
-		deployedTiming: make(map[string]TimingResult),
 		procs:          procNames(p),
 		procIdx:        procIndex(p),
 	}

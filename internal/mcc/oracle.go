@@ -20,10 +20,9 @@ func FromScratchTables(p *model.Platform, impl *model.ImplementationModel) ([]Ti
 	if impl == nil {
 		return nil, nil, nil
 	}
-	m := &MCC{platform: p, procs: procNames(p), procIdx: procIndex(p)}
 	var timing []TimingResult
-	for _, pn := range m.procs {
-		j, ok := m.buildProcJob(impl, pn)
+	for _, pn := range procNames(p) {
+		j, ok := buildProcJob(pn, impl.TasksOn(pn))
 		if !ok {
 			continue
 		}
@@ -34,7 +33,7 @@ func FromScratchTables(p *model.Platform, impl *model.ImplementationModel) ([]Ti
 		timing = append(timing, TimingResult{Resource: pn, Results: res})
 	}
 	for i := range p.Networks {
-		j, ok := m.buildNetJob(impl, &p.Networks[i])
+		j, ok := buildNetJob(impl, &p.Networks[i])
 		if !ok {
 			continue
 		}
@@ -44,5 +43,5 @@ func FromScratchTables(p *model.Platform, impl *model.ImplementationModel) ([]Ti
 		}
 		timing = append(timing, TimingResult{Resource: j.resource, Results: res})
 	}
-	return timing, m.planMonitors(impl), nil
+	return timing, planMonitors(impl), nil
 }

@@ -67,8 +67,8 @@ type Context struct {
 	ConnectionsRebuilt bool
 	// AffectedNets is the set of networks whose message list actually
 	// changed under a rebuild (a rebuilt list equal to the deployed one
-	// leaves its network clean, so untouched networks splice their cached
-	// timing jobs even when MessagesRebuilt). Only valid when
+	// leaves its network clean, so untouched networks keep their committed
+	// timing entries even when MessagesRebuilt). Only valid when
 	// MessagesRebuilt is set; nil conservatively means "every network".
 	AffectedNets map[string]bool
 	// TasksFn, when set by a partial synthesis, materializes the
@@ -88,9 +88,6 @@ type Context struct {
 	// whole proposal window out over the worker pool and re-validates
 	// every verdict before the window is final.
 	DeferChecks bool
-	// TimingDigests is the timing stage's artifact: the per-resource
-	// task-set digests the commit stage persists for dirty tracking.
-	TimingDigests map[string]uint64
 
 	// Ctx carries the proposal's cancellation/deadline signal. The
 	// pipeline checks it between stages and long-running stages may

@@ -92,9 +92,10 @@ type Report struct {
 	Stages []StageTrace
 	// TimingScans counts the resources whose CPA task sets the timing
 	// stage rebuilt by scanning the implementation model
-	// (TasksOn/MessagesOn); with diff-proportional job construction the
-	// task sets of untouched resources are spliced from the deployed
-	// cache without any scan, so a clean-resource proposal reports 0.
+	// (TasksOn/MessagesOn, or the partial synthesis's rebuilt lists);
+	// with diff-proportional job construction untouched resources keep
+	// their committed entries without any scan, so a clean-resource
+	// proposal reports 0.
 	TimingScans int
 	// TimingDirty counts the resources whose busy-window analysis
 	// actually ran (or, under deferred timing, was scheduled); clean

@@ -130,24 +130,30 @@ func mergeResUpdates(batch []resUpdate) []resUpdate {
 	return out
 }
 
-// find returns the index of the named resource, or -1. The processor
-// prefix is sorted by name (binary search); the network suffix is short
-// (platform networks, typically a handful) and scanned linearly.
-func (t *resTable) find(resource string) int {
-	if t == nil {
-		return -1
-	}
+// findProc locates a processor in the sorted processor prefix by binary
+// search: its index when present, else the index it would be inserted at.
+func (t *resTable) findProc(name string) (int, bool) {
 	lo, hi := 0, t.procs
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if t.at(mid).job.resource < resource {
+		if t.at(mid).job.resource < name {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < t.procs && t.at(lo).job.resource == resource {
-		return lo
+	return lo, lo < t.procs && t.at(lo).job.resource == name
+}
+
+// find returns the index of the named resource, or -1. The network
+// suffix is short (platform networks, typically a handful) and scanned
+// linearly.
+func (t *resTable) find(resource string) int {
+	if t == nil {
+		return -1
+	}
+	if i, ok := t.findProc(resource); ok {
+		return i
 	}
 	for i := t.procs; i < t.n; i++ {
 		if t.at(i).job.resource == resource {
@@ -155,6 +161,57 @@ func (t *resTable) find(resource string) int {
 		}
 	}
 	return -1
+}
+
+// apply returns the table with a timing pass's edits applied, res[i]
+// being the WCRT table edits[i] commits with. Replacements alone patch
+// copy-on-write (spine plus touched chunks, O(diff)); an insertion or a
+// deletion shifts entries and rebuilds the table in one O(n) merge. The
+// receiver is unchanged either way, and the result is never nil, so
+// report binding and DeployedMonitors stay valid after every commit.
+func (t *resTable) apply(edits []resEdit, res []TimingResult) *resTable {
+	if t == nil {
+		t = &resTable{}
+	}
+	n, procs, shape := t.n, t.procs, false
+	for _, e := range edits {
+		switch e.op {
+		case resInsert:
+			n, shape = n+1, true
+			if !e.job.spnp {
+				procs++
+			}
+		case resDelete:
+			n, shape = n-1, true
+			if e.pos < t.procs {
+				procs--
+			}
+		}
+	}
+	if !shape {
+		updates := make([]resUpdate, len(edits))
+		for i, e := range edits {
+			updates[i] = resUpdate{e.pos, committedRes{e.job, res[i]}}
+		}
+		return t.patch(updates)
+	}
+	list := make([]committedRes, 0, n)
+	cur := 0
+	for i, e := range edits {
+		for ; cur < e.pos; cur++ {
+			list = append(list, *t.at(cur))
+		}
+		if e.op != resDelete {
+			list = append(list, committedRes{e.job, res[i]})
+		}
+		if e.op != resInsert {
+			cur++
+		}
+	}
+	for ; cur < t.n; cur++ {
+		list = append(list, *t.at(cur))
+	}
+	return resTableFrom(list, procs)
 }
 
 // materializeTiming deep-copies the committed WCRT tables in resource
@@ -189,7 +246,7 @@ func (t *resTable) materializeTiming(heals map[resDigestKey]TimingResult) []Timi
 // committed CPA jobs: budget specs from processor tasks, enforced rate
 // specs from network messages, sorted canonically. The CPA task sets
 // carry exactly the contract parameters the monitors need (see
-// jobMonitorSpecs), so the plan is element-for-element what planMonitors
+// appendJobMonitorSpecs), so the plan is element-for-element what planMonitors
 // derives from the committed implementation model. One fresh allocation;
 // the caller owns the result.
 func (t *resTable) materializeMonitors() []MonitorSpec {
@@ -205,20 +262,7 @@ func (t *resTable) materializeMonitors() []MonitorSpec {
 	}
 	out := make([]MonitorSpec, 0, total)
 	for i := 0; i < t.n; i++ {
-		j := t.at(i).job
-		for _, ct := range j.tasks {
-			if j.spnp {
-				out = append(out, MonitorSpec{
-					Kind: MonitorRate, Target: ct.Name,
-					PeriodUS: ct.Event.PeriodUS, Enforce: true,
-				})
-			} else {
-				out = append(out, MonitorSpec{
-					Kind: MonitorBudget, Target: ct.Name,
-					PeriodUS: ct.Event.PeriodUS, JitterUS: ct.Event.JitterUS, WCETUS: ct.WCETUS,
-				})
-			}
-		}
+		out = appendJobMonitorSpecs(out, t.at(i).job)
 	}
 	sortMonitorSpecs(out)
 	return out

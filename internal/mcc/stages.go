@@ -288,88 +288,22 @@ func sortByConstraint(fns []*model.Function) {
 
 // mapWarmStart maps the candidate starting from the deployed placement:
 // instances of untouched functions stay where they are, only the diff is
-// placed (best-fit over the residual capacity). It reports ok=false when
-// the diff cannot be placed on the residual capacity — the caller then
-// falls back to the full best-fit over all functions, which reshuffles
-// untouched instances too.
+// placed (best-fit over the residual capacity). The committed loads slice
+// is copied (one memcpy), the touched functions' committed charges are
+// subtracted — integer-exact, so the residuals equal a re-accounting —
+// and the diff is placed over the residual. The candidate's flat instance
+// list is never assembled: the fresh placements are handed to the
+// synthesis overlay through pendingPlaced, everything downstream resolves
+// instances through the committed tables plus that overlay, and
+// DeployedImpl materializes the flat list on demand for whole-model
+// readers. It reports ok=false when the committed loads or synthesis
+// cache are absent, or when the diff cannot be placed on the residual
+// capacity — the caller then falls back to the full best-fit over all
+// functions, which reshuffles untouched instances too.
 func (m *MCC) mapWarmStart(ctx *pipeline.Context) (tech *model.TechnicalArchitecture, kept, placed int, ok bool) {
-	cand, d := ctx.Candidate, ctx.Diff
-	depTech := ctx.DeployedImpl.Tech
-
-	// With committed per-processor loads the kept instances need no
-	// re-accounting at all: subtract the touched functions' committed
-	// charges, place the diff over the residual, splice the instance
-	// list. The residuals are integer-exact equal to a re-accounting, so
-	// the feasibility verdict and best-fit choices are identical to the
-	// legacy loop below.
-	if m.deployedLoads != nil && m.deployedSynth != nil {
-		return m.mapWarmFromCommitted(ctx)
-	}
-	if depTech.Instances == nil {
-		// A keyed commit leaves the flat instance list unmaterialized and
-		// always installs committed loads alongside, so this loop should
-		// be unreachable with a lazy model; decide cold if it ever is.
+	if m.deployedLoads == nil || m.deployedSynth == nil {
 		return nil, 0, 0, false
 	}
-
-	fnByName := make(map[string]*model.Function, len(cand.Functions))
-	for i := range cand.Functions {
-		fnByName[cand.Functions[i].Name] = &cand.Functions[i]
-	}
-
-	// Keep untouched instances in place and account their load.
-	p := m.newPlacer()
-	instances := make([]model.Instance, 0, len(depTech.Instances))
-	for _, in := range depTech.Instances {
-		if d.Touched(in.Function) {
-			continue // re-placed below (changed) or dropped (removed)
-		}
-		f := fnByName[in.Function]
-		if f == nil || !p.account(f, in.Processor) {
-			return nil, 0, 0, false // stale placement; decide cold
-		}
-		instances = append(instances, in)
-	}
-	kept = len(instances)
-
-	// Place the diff best-fit over the residual capacity, hardest
-	// constraints first (same order as the full mapping).
-	var todo []*model.Function
-	for _, names := range [][]string{d.Added, d.Changed} {
-		for _, name := range names {
-			if f := fnByName[name]; f != nil {
-				todo = append(todo, f)
-			}
-		}
-	}
-	sortByConstraint(todo)
-	for _, f := range todo {
-		ins, ok := p.place(f)
-		if !ok {
-			return nil, 0, 0, false // no room on residual capacity
-		}
-		instances = append(instances, ins...)
-		placed += len(ins)
-	}
-	sort.Slice(instances, func(i, j int) bool { return instances[i].Less(instances[j]) })
-	m.pendingLoads = p.loads
-	// The warm-start placement is correct by construction (every kept
-	// instance was validated at commit time, every new one against the
-	// live constraints); the full structural re-validation is what the
-	// incremental path exists to avoid.
-	return &model.TechnicalArchitecture{Platform: m.platform, Func: cand, Instances: instances}, kept, placed, true
-}
-
-// mapWarmFromCommitted is the O(diff) warm start: the committed loads
-// slice is copied (one memcpy), the touched functions' committed charges
-// are subtracted, and the diff is placed best-fit over the residual. The
-// candidate's flat instance list is never assembled — the fresh
-// placements are handed to the synthesis overlay through pendingPlaced,
-// everything downstream resolves instances through the committed tables
-// plus that overlay, and DeployedImpl materializes the flat list on
-// demand for whole-model readers. That removes the only remaining
-// O(platform) step (the splice and its allocation) from the warm path.
-func (m *MCC) mapWarmFromCommitted(ctx *pipeline.Context) (tech *model.TechnicalArchitecture, kept, placed int, ok bool) {
 	cand, d := ctx.Candidate, ctx.Diff
 
 	p := m.newPlacerFromCommitted()
@@ -488,7 +422,7 @@ func synthLookups(tech *model.TechnicalArchitecture) (map[string]*model.Function
 // synthCache holds the committed synthesis lookup tables: function
 // contracts by name, replica instances by function, and the
 // per-processor task lists of the deployed implementation model. It is
-// maintained on commit next to deployedJobs — rebuilt in full only by
+// maintained on commit next to deployedRes — rebuilt in full only by
 // from-scratch commits, keyed invalidation of diff-touched entries
 // otherwise — so incremental synthesis can splice untouched processors'
 // task lists without re-deriving the tables per proposal. The cache owns
@@ -582,11 +516,10 @@ func (v *synthView) instances(name string) []model.Instance {
 
 // synthOverlay builds the candidate's lookup view against the committed
 // tables: the diff names its touched functions, whose candidate values
-// and placements are collected directly (binary search over the sorted
-// instance list), everything untouched resolves through the cache (whose
+// and placements (from the warm start's pendingPlaced) are collected
+// directly, everything untouched resolves through the cache (whose
 // entries are value-identical under the warm-started mapping). No lookup
-// table is rebuilt and no candidate-sized scan runs — cost is
-// O(diff · log n).
+// table is rebuilt.
 func (m *MCC) synthOverlay(ctx *pipeline.Context) (*synthView, *synthOverlay) {
 	d := ctx.Diff
 	over := &synthOverlay{
@@ -606,38 +539,16 @@ func (m *MCC) synthOverlay(ctx *pipeline.Context) (*synthView, *synthOverlay) {
 			}
 		}
 	}
-	// The O(diff) warm start hands the fresh placements over directly,
-	// keyed by function and replica-ascending — the exact per-function
-	// lists synthLookups would produce — so no flat candidate instance
-	// list is needed at all. The binary-search fallback covers warm paths
-	// that materialized ctx.Tech.Instances instead (the legacy warm start
-	// after a from-scratch commit).
-	if m.pendingPlaced != nil {
-		for name, f := range over.fns {
-			if f == nil {
-				continue // removed: no candidate placements
-			}
-			if ins := m.pendingPlaced[name]; len(ins) > 0 {
-				over.insts[name] = ins
-			}
-		}
-		return &synthView{cache: m.deployedSynth, over: over}, over
-	}
-	// ctx.Tech.Instances is sorted by Instance.Less, so each touched
-	// function's placements form one contiguous replica-ascending block —
-	// exactly the list synthLookups produces.
-	ins := ctx.Tech.Instances
+	// The warm start hands the fresh placements over directly, keyed by
+	// function and replica-ascending — the exact per-function lists
+	// synthLookups would produce — so no flat candidate instance list is
+	// needed at all.
 	for name, f := range over.fns {
 		if f == nil {
 			continue // removed: no candidate placements
 		}
-		lo := sort.Search(len(ins), func(i int) bool { return ins[i].Function >= name })
-		hi := lo
-		for hi < len(ins) && ins[hi].Function == name {
-			hi++
-		}
-		if hi > lo {
-			over.insts[name] = ins[lo:hi:hi]
+		if ins := m.pendingPlaced[name]; len(ins) > 0 {
+			over.insts[name] = ins
 		}
 	}
 	return &synthView{cache: m.deployedSynth, over: over}, over
@@ -905,24 +816,15 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 	// answers "is any touched function a flow endpoint" in O(diff).
 	rebuildMsgs := d.FlowsChanged
 	if !rebuildMsgs {
-		if ft := m.deployedFlowTouch; ft != nil {
-			// A touched flow endpoint forces a rebuild only if its
-			// placement actually moved: messages derive from flows and
-			// endpoint placements alone, and flows are unchanged here, so
-			// a change that re-places every replica onto its committed
-			// processor leaves every message identical.
-			for name := range over.fns {
-				if ft[name] && placementChanged(m.deployedSynth.instancesOf[name], over.insts[name]) {
-					rebuildMsgs = true
-					break
-				}
-			}
-		} else {
-			for _, fl := range ctx.Candidate.Flows {
-				if d.Touched(fl.From) || d.Touched(fl.To) {
-					rebuildMsgs = true
-					break
-				}
+		// A touched flow endpoint forces a rebuild only if its placement
+		// actually moved: messages derive from flows and endpoint
+		// placements alone, and flows are unchanged here, so a change that
+		// re-places every replica onto its committed processor leaves
+		// every message identical.
+		for name := range over.fns {
+			if m.deployedFlowTouch[name] && placementChanged(m.deployedSynth.instancesOf[name], over.insts[name]) {
+				rebuildMsgs = true
+				break
 			}
 		}
 	}
@@ -935,7 +837,7 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 		// A rebuild re-derives every message, but most networks' lists
 		// come out identical — only networks carrying a touched flow's
 		// messages (now or before) actually change. Mark those, so the
-		// timing stage splices the cached jobs of the rest.
+		// timing stage keeps the committed entries of the rest.
 		ctx.AffectedNets = affectedNets(dep.Messages, msgs)
 	} else {
 		// The committed slice is immutable once built; alias it.
@@ -1340,7 +1242,6 @@ func (s *timingStage) Name() Stage { return StageTiming }
 func (s *timingStage) Run(ctx *pipeline.Context) error {
 	out := s.m.analyzeTiming(ctx, ctx.Impl)
 	ctx.Report.TimingDelta = out.delta
-	ctx.TimingDigests = out.digests
 	ctx.Report.TimingScans += out.scanned
 	ctx.Report.TimingDirty += out.dirty
 	ctx.Report.TimingResources += out.total
@@ -1366,23 +1267,43 @@ type timingJob struct {
 // job and its WCRT table — stored in deterministic resource order in
 // the chunked committed table (see MCC.deployedRes). res.Results == nil
 // marks a table not yet known: an optimistically committed resource
-// whose deferred analysis has not been verified; a splice of such an
-// entry re-analyzes through the memo instead of reusing the table.
+// whose deferred analysis has not been verified; the clean probe treats
+// such an entry as dirty and re-analyzes it through the memo.
 type committedRes struct {
 	job timingJob
 	res TimingResult
 }
 
+// resOp says what one visited resource does to the committed table.
+type resOp uint8
+
+const (
+	// resReplace: the resource keeps its slot, the job replaces entry pos.
+	resReplace resOp = iota
+	// resInsert: the resource gained its first load, the job is inserted
+	// before entry pos.
+	resInsert
+	// resDelete: the resource lost its last load, entry pos goes.
+	resDelete
+)
+
+// resEdit is one visited resource of a timing pass: the job rebuilt for
+// it (zero for a delete) and where it lands in the committed table. A
+// pass's edits are in table order, so applying them is one merge.
+type resEdit struct {
+	job timingJob
+	pos int
+	op  resOp
+}
+
 // timingOutcome aggregates the timing stage's results: the WCRT tables
 // of exactly the resources this attempt re-analyzed (freshly allocated,
-// report-owned — the delta contract), the digests to commit, the
-// acceptance findings (deadline misses and analysis errors), and the
-// scanned/dirty/total telemetry counts (how many resources had their
-// task sets rebuilt by scanning the implementation model, and how many
-// were re-analyzed).
+// report-owned — the delta contract), the acceptance findings (deadline
+// misses and analysis errors), and the scanned/dirty/total telemetry
+// counts (how many resources had their task sets rebuilt, how many were
+// re-analyzed, and how many the candidate loads).
 type timingOutcome struct {
 	delta    []TimingResult
-	digests  map[string]uint64
 	findings []string
 	scanned  int
 	dirty    int
@@ -1395,53 +1316,22 @@ type timingOutcome struct {
 }
 
 // timingScratch holds the MCC-owned buffers the timing stage reuses
-// across proposals so the per-proposal hot path stops allocating: the job
-// list, the digest map, and the merge buffers of the worker pool. Task
-// slices inside committed jobs are never recycled — once a job is built
-// its task slice is immutable, so cached jobs and reports can alias it.
+// across proposals so the per-proposal hot path stops allocating: the
+// edit list, the sorted affected-processor list, and the merge buffers
+// of the worker pool. Task slices inside jobs are never recycled — once
+// a job is built its task slice is immutable, so the committed table and
+// reports can alias it.
 type timingScratch struct {
-	jobs    []timingJob
-	digests map[string]uint64
-	results []TimingResult
-	errs    []error
-	dirty   []int
-	// scannedIdx records the indices (into jobs) of the resources whose
-	// task sets this proposal rebuilt by scanning; the keyed commit
-	// touches exactly these entries.
-	scannedIdx []int
-	// spliceSrc, when the committed-table merge built the job list, is
-	// parallel to jobs: the deployedRes table index an entry was copied
-	// from, or -1 for a freshly scanned resource. Positional result reuse
-	// and the keyed commit's list rebuild read it; the map-walk path
-	// leaves it empty (length mismatch disables it).
-	spliceSrc []int
-	// affected is the sorted affected-processor scratch of the merge.
+	edits    []resEdit
 	affected []string
-	// sparse marks that timingJobsSparse built the job list: jobs holds
-	// ONLY the scanned resources, each a positional replacement of the
-	// committed entry sparsePos records, and every untouched committed
-	// entry is implicit — the job-list cost follows the change footprint
-	// instead of the platform size. analyzeTiming and the keyed commit
-	// read the flag; every other path leaves it false.
-	sparse bool
-	// sparsePos is parallel to jobs under sparse: the deployedRes index
-	// each scanned job replaces.
-	sparsePos []int
+	results  []TimingResult
+	errs     []error
+	dirty    []int
 }
 
-// buildProcJob derives one processor's CPA task set by scanning the
-// implementation model. ok is false when the processor carries no load.
-func (m *MCC) buildProcJob(impl *model.ImplementationModel, pn string) (timingJob, bool) {
-	tasks := impl.TasksOn(pn)
-	return m.buildProcJobFrom(pn, tasks)
-}
-
-// buildProcJobFrom derives one processor's CPA job from an
-// already-ordered task list. The partial synthesis hands the rebuilt
-// lists of affected processors here directly — they carry unique
-// ascending priorities, so they are element-wise what TasksOn would
-// extract and re-sort from the flat model, without the O(tasks) scan.
-func (m *MCC) buildProcJobFrom(pn string, tasks []model.Task) (timingJob, bool) {
+// buildProcJob derives one processor's CPA job from its task list in
+// priority order. ok is false when the processor carries no load.
+func buildProcJob(pn string, tasks []model.Task) (timingJob, bool) {
 	if len(tasks) == 0 {
 		return timingJob{}, false
 	}
@@ -1460,7 +1350,7 @@ func (m *MCC) buildProcJobFrom(pn string, tasks []model.Task) (timingJob, bool) 
 
 // buildNetJob derives one network's CPA message set by scanning the
 // implementation model. ok is false when the network carries no load.
-func (m *MCC) buildNetJob(impl *model.ImplementationModel, n *model.Network) (timingJob, bool) {
+func buildNetJob(impl *model.ImplementationModel, n *model.Network) (timingJob, bool) {
 	msgs := impl.MessagesOn(n.Name)
 	if len(msgs) == 0 {
 		return timingJob{}, false
@@ -1484,261 +1374,94 @@ func (m *MCC) buildNetJob(impl *model.ImplementationModel, n *model.Network) (ti
 	return timingJob{resource: n.Name, spnp: true, tasks: ct, digest: cpa.TaskSetDigest(ct)}, true
 }
 
-// timingJobs derives the per-resource CPA task sets of the implementation
-// model in deterministic order: processors (sorted by name), then networks
-// (platform order). Resources without load are skipped.
+// timingFootprint builds the timing jobs of one attempt as edits against
+// the committed table t. It visits the affected processors (sorted by
+// name) and then the affected networks (platform order), builds each
+// one's job — from the partial synthesis's rebuilt task list when the
+// overlay has one, by scanning the implementation model otherwise — and
+// locates it in t as a replacement, an insertion (first load) or a
+// deletion (last load gone). Resources it does not visit keep their
+// committed entries untouched.
 //
-// When the context carries a partial-synthesis diff and the deployed job
-// cache is warm, construction is diff-proportional: only resources the
-// diff affected are scanned (TasksOn/MessagesOn) and re-digested, every
-// other resource's job — task slice and digest — is spliced from the
-// cache of the committed configuration without touching the
-// implementation model at all. The splice is valid because the partial
-// synthesis copied exactly those resources' tasks/messages verbatim from
-// the deployed model. ctx may be nil (always a full scan).
-func (m *MCC) timingJobs(ctx *pipeline.Context, impl *model.ImplementationModel) (jobs []timingJob, scanned int) {
-	jobs = m.scratch.jobs[:0]
-	m.scratch.scannedIdx = m.scratch.scannedIdx[:0]
-	m.scratch.spliceSrc = m.scratch.spliceSrc[:0]
-	m.scratch.sparse = false
-	incremental := ctx != nil && ctx.PartialSynth && m.deployedJobs != nil
-
-	if incremental && m.deployedRes != nil {
-		if m.canCommitIncremental(ctx) {
-			// Footprint-sized job list: scanned resources only, each a
-			// positional replacement in the committed table. Falls back to
-			// the full splice when the resource shape changed.
-			if js, n, ok := m.timingJobsSparse(ctx, impl, jobs); ok {
-				m.scratch.jobs = js
-				return js, n
-			}
-			jobs = m.scratch.jobs[:0]
-			m.scratch.scannedIdx = m.scratch.scannedIdx[:0]
-		}
-		jobs, scanned = m.timingJobsSpliced(ctx, impl, jobs)
-		m.scratch.jobs = jobs
-		return jobs, scanned
+// Under partial synthesis the affected set is the change's footprint:
+// the processors the synthesis rebuilt and, when it re-derived the
+// messages, the networks whose lists changed. Every other attempt — a
+// cold or from-scratch pass, or ctx == nil — affects every resource, run
+// against whatever t holds (nil or empty on a cold controller, the
+// committed table otherwise), so its edits describe the whole candidate.
+// scanned counts the visited resources.
+func (m *MCC) timingFootprint(ctx *pipeline.Context, impl *model.ImplementationModel, t *resTable) (edits []resEdit, scanned int) {
+	footprint := ctx != nil && ctx.PartialSynth && t != nil
+	if t == nil {
+		t = &resTable{}
 	}
-
-	for _, pn := range m.procs {
-		if incremental && !ctx.AffectedProcs[pn] {
-			// Untouched processor: its task set is byte-identical to the
-			// deployed one; splice the cached job, no scan.
-			if j, ok := m.deployedJobs[pn]; ok {
-				jobs = append(jobs, j)
-			}
-			continue
-		}
-		scanned++
-		var j timingJob
-		var ok bool
-		if over := m.pendingSynth; incremental && over != nil {
-			// The partial synthesis leaves impl.Tasks unmaterialized; the
-			// affected processors' rebuilt lists live in the overlay.
-			if tasks, have := over.tasksOn[pn]; have {
-				j, ok = m.buildProcJobFrom(pn, tasks)
-			} else {
-				j, ok = m.buildProcJob(impl, pn)
-			}
-		} else {
-			j, ok = m.buildProcJob(impl, pn)
-		}
-		if ok {
-			m.scratch.scannedIdx = append(m.scratch.scannedIdx, len(jobs))
-			jobs = append(jobs, j)
-		}
-	}
-
-	for i := range m.platform.Networks {
-		n := &m.platform.Networks[i]
-		if incremental && netClean(ctx, n.Name) {
-			// The message list was copied verbatim from the deployed
-			// model, or rebuilt identical on this network.
-			if j, ok := m.deployedJobs[n.Name]; ok {
-				jobs = append(jobs, j)
-			}
-			continue
-		}
-		scanned++
-		if j, ok := m.buildNetJob(impl, n); ok {
-			m.scratch.scannedIdx = append(m.scratch.scannedIdx, len(jobs))
-			jobs = append(jobs, j)
-		}
-	}
-	m.scratch.jobs = jobs
-	return jobs, scanned
-}
-
-// timingJobsSpliced builds the job list by merging the committed
-// resource list against the sorted affected set. Both are ordered
-// subsets of the resource iteration order (processors sorted by name,
-// then networks in platform order), so the merge emits jobs in exactly
-// the order the map walk would — but an untouched resource costs one
-// string comparison and a positional copy instead of two map lookups,
-// and its committed WCRT table is later reachable by index (spliceSrc)
-// instead of two more. Affected resources are scanned exactly as the
-// map walk scans them, including processors that newly gained load.
-func (m *MCC) timingJobsSpliced(ctx *pipeline.Context, impl *model.ImplementationModel, jobs []timingJob) ([]timingJob, int) {
 	sc := &m.scratch
-	scanned := 0
-	aff := sc.affected[:0]
-	for pn, on := range ctx.AffectedProcs {
-		if on {
-			aff = append(aff, pn)
+	edits = sc.edits[:0]
+	procs := m.procs
+	var over *synthOverlay
+	if footprint {
+		over = m.pendingSynth
+		aff := sc.affected[:0]
+		for pn, on := range ctx.AffectedProcs {
+			if on {
+				aff = append(aff, pn)
+			}
 		}
+		sort.Strings(aff)
+		sc.affected = aff
+		procs = aff
 	}
-	sort.Strings(aff)
-	sc.affected = aff
-
-	t := m.deployedRes
-	over := m.pendingSynth
-	scanProc := func(pn string) {
+	for _, pn := range procs {
 		scanned++
-		var j timingJob
-		var ok bool
+		tasks, rebuilt := []model.Task(nil), false
 		if over != nil {
-			// The partial synthesis rebuilt exactly the affected
-			// processors' task lists; read them instead of scanning the
-			// flat model.
-			if tasks, have := over.tasksOn[pn]; have {
-				j, ok = m.buildProcJobFrom(pn, tasks)
-			} else {
-				j, ok = m.buildProcJob(impl, pn)
-			}
-		} else {
-			j, ok = m.buildProcJob(impl, pn)
+			tasks, rebuilt = over.tasksOn[pn]
 		}
-		if ok {
-			sc.scannedIdx = append(sc.scannedIdx, len(jobs))
-			jobs = append(jobs, j)
-			sc.spliceSrc = append(sc.spliceSrc, -1)
+		if !rebuilt {
+			tasks = impl.TasksOn(pn)
 		}
-	}
-	ai := 0
-	for li := 0; li < t.procs; li++ {
-		r := t.at(li).job.resource
-		for ai < len(aff) && aff[ai] < r {
-			scanProc(aff[ai])
-			ai++
-		}
-		if ai < len(aff) && aff[ai] == r {
-			scanProc(r)
-			ai++
-			continue
-		}
-		jobs = append(jobs, t.at(li).job)
-		sc.spliceSrc = append(sc.spliceSrc, li)
-	}
-	for ; ai < len(aff); ai++ {
-		scanProc(aff[ai])
+		j, ok := buildProcJob(pn, tasks)
+		pos, found := t.findProc(pn)
+		edits = appendEdit(edits, j, ok, pos, found)
 	}
 
-	li := t.procs
-	for i := range m.platform.Networks {
-		n := &m.platform.Networks[i]
-		cur := -1
-		if li < t.n && t.at(li).job.resource == n.Name {
-			cur = li
-			li++
-		}
-		if netClean(ctx, n.Name) {
-			if cur >= 0 {
-				jobs = append(jobs, t.at(cur).job)
-				sc.spliceSrc = append(sc.spliceSrc, cur)
-			}
-			continue
-		}
-		scanned++
-		if j, ok := m.buildNetJob(impl, n); ok {
-			sc.scannedIdx = append(sc.scannedIdx, len(jobs))
-			jobs = append(jobs, j)
-			sc.spliceSrc = append(sc.spliceSrc, -1)
-		}
-	}
-	return jobs, scanned
-}
-
-// timingJobsSparse builds the job list of an attempt whose affected
-// resources all replace their committed table entries in place: only the
-// scanned jobs are materialized (sparsePos records the committed index
-// each one replaces), every untouched resource stays implicit in the
-// committed table, and the job-construction cost follows the change
-// footprint instead of the platform size. The committed order is
-// preserved by construction — affected processors are visited sorted,
-// networks in platform order, matching the table's layout — so findings,
-// deltas and telemetry come out exactly as the full splice would emit
-// them. Any shape change (a resource gaining its first load, losing its
-// last, or absent from the table) returns ok=false and the caller runs
-// the full splice.
-func (m *MCC) timingJobsSparse(ctx *pipeline.Context, impl *model.ImplementationModel, jobs []timingJob) ([]timingJob, int, bool) {
-	sc := &m.scratch
-	t := m.deployedRes
-	over := m.pendingSynth
-	scanned := 0
-
-	aff := sc.affected[:0]
-	for pn, on := range ctx.AffectedProcs {
-		if on {
-			aff = append(aff, pn)
-		}
-	}
-	sort.Strings(aff)
-	sc.affected = aff
-
-	pos := sc.sparsePos[:0]
-	for _, pn := range aff {
-		scanned++
-		var j timingJob
-		var ok bool
-		if over != nil {
-			if tasks, have := over.tasksOn[pn]; have {
-				j, ok = m.buildProcJobFrom(pn, tasks)
-			} else {
-				j, ok = m.buildProcJob(impl, pn)
-			}
-		} else {
-			j, ok = m.buildProcJob(impl, pn)
-		}
-		li := t.find(pn)
-		if !ok {
-			if li >= 0 {
-				return nil, 0, false // lost its last load: shape change
-			}
-			continue // no load before or after: not in the table at all
-		}
-		if li < 0 || t.at(li).job.spnp {
-			return nil, 0, false // gained its first load: shape change
-		}
-		sc.scannedIdx = append(sc.scannedIdx, len(jobs))
-		jobs = append(jobs, j)
-		pos = append(pos, li)
-	}
-	if ctx.MessagesRebuilt {
+	// Networks: all of them on a full pass; under partial synthesis only
+	// those whose message list changed, none when the messages were not
+	// re-derived. The network suffix is in platform order, so a cursor
+	// walked alongside the platform's networks locates each one.
+	if !footprint || ctx.MessagesRebuilt {
+		li := t.procs
 		for i := range m.platform.Networks {
 			n := &m.platform.Networks[i]
-			if netClean(ctx, n.Name) {
+			pos, found := li, li < t.n && t.at(li).job.resource == n.Name
+			if found {
+				li++
+			}
+			if footprint && netClean(ctx, n.Name) {
 				continue
 			}
 			scanned++
-			j, ok := m.buildNetJob(impl, n)
-			li := t.find(n.Name)
-			if !ok {
-				if li >= 0 {
-					return nil, 0, false
-				}
-				continue
-			}
-			if li < 0 || !t.at(li).job.spnp {
-				return nil, 0, false
-			}
-			sc.scannedIdx = append(sc.scannedIdx, len(jobs))
-			jobs = append(jobs, j)
-			pos = append(pos, li)
+			j, ok := buildNetJob(impl, n)
+			edits = appendEdit(edits, j, ok, pos, found)
 		}
 	}
-	sc.sparsePos = pos
-	sc.sparse = true
-	return jobs, scanned, true
+	sc.edits = edits
+	return edits, scanned
+}
+
+// appendEdit appends the edit that takes a visited resource from its
+// committed entry (found at pos, or to be inserted at pos) to its rebuilt
+// job (ok false when the resource carries no load now).
+func appendEdit(edits []resEdit, j timingJob, ok bool, pos int, found bool) []resEdit {
+	switch {
+	case ok && found:
+		return append(edits, resEdit{job: j, pos: pos, op: resReplace})
+	case ok:
+		return append(edits, resEdit{job: j, pos: pos, op: resInsert})
+	case found:
+		return append(edits, resEdit{pos: pos, op: resDelete})
+	}
+	return edits
 }
 
 // netClean reports whether a network's message list is untouched by the
@@ -1790,70 +1513,50 @@ func (m *MCC) deferred() *deferredChecks {
 	return m.lastDeferred
 }
 
-// analyzeTiming runs CPA on every processor (SPP) and network (SPNP/CAN).
-// With incremental integration, resources whose task-set digest matches the
-// deployed configuration are clean and reuse the committed WCRT table;
-// dirty resources are fanned out over the worker pool and the results are
-// merged back in deterministic resource order. A resource whose analysis
-// fails (e.g. utilization >= 1, where the busy window does not terminate)
-// is surfaced as a finding naming the resource — never dropped silently.
+// analyzeTiming runs CPA on every processor (SPP) and network (SPNP/CAN)
+// the attempt's footprint visits. With incremental timing, a replaced
+// entry whose committed job has the same digest and a known WCRT table
+// is clean and reuses that table; dirty resources are fanned out over
+// the worker pool and the results are merged back in deterministic
+// resource order. A resource whose analysis fails (e.g. utilization >=
+// 1, where the busy window does not terminate) is surfaced as a finding
+// naming the resource — never dropped silently.
 //
 // Under ctx.DeferChecks the dirty analyses are not run at all: the jobs
 // are recorded on m.lastDeferred for the stream scheduler to batch onto
 // the worker pool and re-validate, and no findings are raised.
 func (m *MCC) analyzeTiming(ctx *pipeline.Context, impl *model.ImplementationModel) timingOutcome {
-	jobs, scanned := m.timingJobs(ctx, impl)
-	m.pendingJobs = jobs
-	m.pendingResults = nil
-
+	t := m.deployedRes
+	edits, scanned := m.timingFootprint(ctx, impl, t)
 	sc := &m.scratch
-	out := timingOutcome{scanned: scanned, total: len(jobs)}
-	if sc.sparse {
-		// The job list holds only the scanned resources; the attempt
-		// still covers every committed one (positional replacements keep
-		// the table's shape).
-		out.total = m.deployedRes.n
-	}
-	if ctx == nil || !m.canCommitIncremental(ctx) {
-		// The from-scratch commit refills the digest cache wholesale and
-		// needs the full map; a keyed commit reads the digests of scanned
-		// resources straight from the jobs and never looks at it.
-		if sc.digests == nil {
-			sc.digests = make(map[string]uint64, len(jobs))
-		} else {
-			clear(sc.digests)
-		}
-		for _, j := range jobs {
-			sc.digests[j.resource] = j.digest
-		}
-		out.digests = sc.digests
-	}
+	// results[i] is the table edits[i] commits with: the committed one for
+	// a clean entry, the fresh analysis for a dirty one (none yet under
+	// deferred checks — the stream scheduler's verification patches it in).
+	results := grow(&sc.results, len(edits))
+	m.pendingEdits, m.pendingResults = edits, results
 
-	spliced := !sc.sparse && len(sc.spliceSrc) == len(jobs) && len(jobs) > 0
-	clean := func(i int) (TimingResult, bool) {
-		if !m.incTiming {
-			return TimingResult{}, false
-		}
-		if spliced {
-			if k := sc.spliceSrc[i]; k >= 0 {
-				// A positionally spliced job is the committed job itself
-				// (digest-equal by construction); its committed table is
-				// one index away. A nil table marks a deferred analysis
-				// whose verified result lives only in the map (the stream
-				// scheduler backfills it there) — fall through to the map
-				// probe for those rare entries.
-				if tr := m.deployedRes.at(k).res; tr.Results != nil {
-					return tr, true
-				}
+	out := timingOutcome{scanned: scanned}
+	if t != nil {
+		out.total = t.n
+	}
+	dirty := sc.dirty[:0]
+	for i, e := range edits {
+		switch e.op {
+		case resDelete:
+			out.total--
+			continue
+		case resInsert:
+			out.total++
+		case resReplace:
+			if cr := t.at(e.pos); m.incTiming && cr.job.digest == e.job.digest && cr.res.Results != nil {
+				results[i] = cr.res
+				continue
 			}
 		}
-		j := jobs[i]
-		if m.deployedDigest[j.resource] == j.digest {
-			tr, ok := m.deployedTiming[j.resource]
-			return tr, ok
-		}
-		return TimingResult{}, false
+		dirty = append(dirty, i)
 	}
+	sc.dirty = dirty
+	out.dirty = len(dirty)
 
 	if ctx != nil && ctx.DeferChecks {
 		// Record only the dirty jobs: clean resources keep their committed
@@ -1861,27 +1564,11 @@ func (m *MCC) analyzeTiming(ctx *pipeline.Context, impl *model.ImplementationMod
 		// the delta stays empty until the verification pass fills it with
 		// the deferred verdicts.
 		dt := m.deferred()
-		for i := range jobs {
-			if _, ok := clean(i); ok {
-				continue
-			}
-			dt.jobs = append(dt.jobs, jobs[i])
-			out.dirty++
+		for _, i := range dirty {
+			dt.jobs = append(dt.jobs, edits[i].job)
 		}
 		return out
 	}
-
-	results := grow(&sc.results, len(jobs))
-	errs := grow(&sc.errs, len(jobs))
-	dirty := sc.dirty[:0]
-	for i := range jobs {
-		if tr, ok := clean(i); ok {
-			results[i] = tr
-			continue
-		}
-		dirty = append(dirty, i)
-	}
-	sc.dirty = dirty
 
 	// Fan dirty resources out over the worker pool. Spawn at most
 	// len(dirty)-1 extra goroutines (the proposing goroutine works too)
@@ -1901,12 +1588,13 @@ func (m *MCC) analyzeTiming(ctx *pipeline.Context, impl *model.ImplementationMod
 	if ctx != nil {
 		done = ctx.Done()
 	}
+	errs := grow(&sc.errs, len(edits))
 	runOne := func(i int) {
 		if ctx != nil && ctx.Expired() {
 			errs[i] = ctx.Ctx.Err()
 			return
 		}
-		results[i], errs[i] = m.runTimingJobSafe(done, jobs[i])
+		results[i], errs[i] = m.runTimingJobSafe(done, edits[i].job)
 	}
 	if workers <= 1 || len(dirty) <= minParallelDirty {
 		for _, i := range dirty {
@@ -1918,36 +1606,31 @@ func (m *MCC) analyzeTiming(ctx *pipeline.Context, impl *model.ImplementationMod
 		})
 	}
 
-	out.dirty = len(dirty)
-	m.pendingResults = results
-	for i := range jobs {
-		if errs[i] != nil {
-			if isTransientErr(errs[i]) {
+	// Findings and the report-owned delta, in resource order (dirty is
+	// ascending): fresh deep copies of exactly the re-analyzed resources'
+	// tables. Clean resources were committed schedulable and their tables
+	// stay behind the committed handle; on a from-scratch pass every job
+	// is dirty, so delta == full table.
+	if len(dirty) > 0 {
+		out.delta = make([]TimingResult, 0, len(dirty))
+	}
+	for _, i := range dirty {
+		res := edits[i].job.resource
+		if err := errs[i]; err != nil {
+			if isTransientErr(err) {
 				out.transient = true
 			}
-			out.findings = append(out.findings,
-				fmt.Sprintf("timing: analysis of %s failed: %v", jobs[i].resource, errs[i]))
+			out.findings = append(out.findings, fmt.Sprintf("timing: analysis of %s failed: %v", res, err))
 			continue
 		}
 		for _, r := range results[i].Results {
 			if !r.Schedulable {
 				out.findings = append(out.findings,
 					fmt.Sprintf("timing: %s on %s misses deadline (WCRT %dus > %dus)",
-						r.Name, jobs[i].resource, r.WCRTUS, r.DeadlineUS))
+						r.Name, res, r.WCRTUS, r.DeadlineUS))
 			}
 		}
-	}
-	// Report-owned delta: fresh deep copies of exactly the re-analyzed
-	// resources' tables, in job order (dirty is ascending). Clean
-	// resources' tables stay behind the committed handle. On a
-	// from-scratch pass every job is dirty, so delta == full table.
-	if len(dirty) > 0 {
-		out.delta = make([]TimingResult, 0, len(dirty))
-		for _, i := range dirty {
-			if errs[i] == nil {
-				out.delta = append(out.delta, pipeline.CloneTimingResult(results[i]))
-			}
-		}
+		out.delta = append(out.delta, pipeline.CloneTimingResult(results[i]))
 	}
 	return out
 }
@@ -2104,7 +1787,7 @@ func (s *monitorStage) Run(ctx *pipeline.Context) error {
 	if ctx.PartialSynth && m.deployedRes != nil {
 		ctx.Report.MonitorDelta = m.monitorDelta(ctx)
 	} else {
-		ctx.Report.MonitorDelta = m.planMonitors(ctx.Impl)
+		ctx.Report.MonitorDelta = planMonitors(ctx.Impl)
 	}
 	return nil
 }
@@ -2112,7 +1795,7 @@ func (s *monitorStage) Run(ctx *pipeline.Context) error {
 // planMonitors derives the execution-domain monitor configuration from
 // scratch. It is the reference the incremental splice is held to
 // (TestMonitorSplice* assert parity).
-func (m *MCC) planMonitors(impl *model.ImplementationModel) []MonitorSpec {
+func planMonitors(impl *model.ImplementationModel) []MonitorSpec {
 	var out []MonitorSpec
 	for _, t := range impl.Tasks {
 		out = append(out, MonitorSpec{
@@ -2144,13 +1827,12 @@ func monitorSpecLess(a, b MonitorSpec) bool {
 	return a.Target < b.Target
 }
 
-// jobMonitorSpecs derives the monitor specs of one timing job: budget
-// monitors for processor tasks, enforced rate monitors for network
-// messages. The CPA task set carries exactly the contract parameters the
-// monitors need, so the specs are identical to what planMonitors derives
-// from the implementation model.
-func jobMonitorSpecs(j timingJob) []MonitorSpec {
-	out := make([]MonitorSpec, 0, len(j.tasks))
+// appendJobMonitorSpecs appends the monitor specs of one timing job:
+// budget monitors for processor tasks, enforced rate monitors for
+// network messages. The CPA task set carries exactly the contract
+// parameters the monitors need, so the specs are identical to what
+// planMonitors derives from the implementation model.
+func appendJobMonitorSpecs(out []MonitorSpec, j timingJob) []MonitorSpec {
 	for _, t := range j.tasks {
 		if j.spnp {
 			out = append(out, MonitorSpec{
@@ -2164,43 +1846,34 @@ func jobMonitorSpecs(j timingJob) []MonitorSpec {
 			})
 		}
 	}
-	sortMonitorSpecs(out)
 	return out
 }
 
 // monitorDelta derives the monitor specs of exactly the resources this
-// attempt rebuilt: budget specs of the scanned processors' timing jobs,
-// plus — when the message list was re-derived — the rate specs of every
-// network job. The result is freshly allocated and report-owned. The
-// committed plan is never materialized here: consumers reach it through
-// the report's FullMonitors handle, which derives it on demand from the
-// committed table (see resTable.materializeMonitors), so the monitor
-// stage's cost follows the change footprint, not the platform size.
+// attempt rebuilt: the specs of every job of the timing footprint, plus
+// — when the message list was re-derived — the rate specs of the
+// networks whose lists came out unchanged, from their committed jobs, so
+// the delta covers every network. The result is freshly allocated and
+// report-owned. The committed plan is never materialized here: consumers
+// reach it through the report's FullMonitors handle, which derives it on
+// demand from the committed table (see resTable.materializeMonitors), so
+// the monitor stage's cost follows the change footprint, not the
+// platform size.
 func (m *MCC) monitorDelta(ctx *pipeline.Context) []MonitorSpec {
 	var out []MonitorSpec
 	rebuilt := 0
-	for _, i := range m.scratch.scannedIdx {
-		if j := m.pendingJobs[i]; !j.spnp {
-			out = append(out, jobMonitorSpecs(j)...)
+	for _, e := range m.pendingEdits {
+		if e.op != resDelete {
+			out = appendJobMonitorSpecs(out, e.job)
 			rebuilt++
 		}
 	}
 	if ctx.MessagesRebuilt {
-		for i := len(m.pendingJobs) - 1; i >= 0 && m.pendingJobs[i].spnp; i-- {
-			out = append(out, jobMonitorSpecs(m.pendingJobs[i])...)
-			rebuilt++
-		}
-		if m.scratch.sparse {
-			// The sparse job list carries only the rebuilt networks; the
-			// delta still covers every network when messages were
-			// re-derived, so emit the clean ones' specs from their
-			// committed jobs (the network suffix of the table).
-			t := m.deployedRes
-			for li := t.procs; li < t.n; li++ {
-				if j := t.at(li).job; netClean(ctx, j.resource) {
-					out = append(out, jobMonitorSpecs(j)...)
-					rebuilt++
-				}
+		t := m.deployedRes
+		for li := t.procs; li < t.n; li++ {
+			if j := t.at(li).job; netClean(ctx, j.resource) {
+				out = appendJobMonitorSpecs(out, j)
+				rebuilt++
 			}
 		}
 	}
@@ -2215,22 +1888,14 @@ type commitStage struct{ m *MCC }
 
 func (s *commitStage) Name() Stage { return StageCommit }
 
-// canCommitIncremental reports whether the commit stage will apply this
-// attempt as keyed updates against the warm deployed caches (partial
-// synthesis ran and every cache exists) instead of a full refill. The
-// timing stage uses the same predicate to skip building the full digest
-// map a keyed commit never reads.
-func (m *MCC) canCommitIncremental(ctx *pipeline.Context) bool {
-	return ctx.PartialSynth && m.deployedJobs != nil && m.deployedSynth != nil && m.pendingSynth != nil
-}
-
-// Run commits the accepted configuration. Under partial synthesis the
-// deployed caches are updated with keyed writes touching only the
-// resources the diff affected (journaled when a stream window is open —
-// see cacheJournal); a from-scratch attempt rebuilds the caches
-// wholesale. The cached values (task slices, result slices, spec slices)
-// are immutable once built, so reports and rollback points may alias
-// them.
+// Run commits the accepted configuration. The timing stage's edits are
+// applied to the committed table the same way on every path. Under
+// partial synthesis the other deployed caches are updated with keyed
+// writes touching only the entries the diff affected (journaled when a
+// stream window is open — see cacheJournal); a from-scratch attempt
+// rebuilds them wholesale. The cached values (task slices, result
+// slices, spec slices) are immutable once built, so reports and rollback
+// points may alias them.
 func (s *commitStage) Run(ctx *pipeline.Context) error {
 	m := s.m
 	if m.deployed != ctx.Candidate {
@@ -2240,7 +1905,10 @@ func (s *commitStage) Run(ctx *pipeline.Context) error {
 	}
 	m.deployed = ctx.Candidate
 	m.impl = ctx.Impl
-	if m.canCommitIncremental(ctx) {
+	// The previous table — a window rollback point, a bound report's
+	// snapshot — stays intact: apply patches copy-on-write or rebuilds.
+	m.deployedRes = m.deployedRes.apply(m.pendingEdits, m.pendingResults)
+	if ctx.PartialSynth && m.deployedSynth != nil && m.pendingSynth != nil {
 		s.commitIncremental(ctx)
 	} else {
 		s.commitFull(ctx)
@@ -2259,19 +1927,16 @@ func (s *commitStage) Run(ctx *pipeline.Context) error {
 // verified — and their tables learned — only after the commit.
 func (m *MCC) bindReport(rep *Report) {
 	t, heals := m.deployedRes, m.windowHeals
-	if t == nil {
-		return
-	}
 	rep.BindCommitted(
 		func() []TimingResult { return t.materializeTiming(heals) },
 		func() []MonitorSpec { return t.materializeMonitors() },
 	)
 }
 
-// commitFull rebuilds every deployed cache from this attempt's artifacts.
-// Fresh maps are swapped in wholesale: an open window journal keeps the
-// window-start maps (with their keyed undo entries) intact and detaches,
-// so rollback simply re-installs them.
+// commitFull rebuilds every deployed cache but the timing table from this
+// attempt's artifacts. Fresh maps are swapped in wholesale: an open window
+// journal keeps the window-start maps (with their keyed undo entries)
+// intact and detaches, so rollback simply re-installs them.
 func (s *commitStage) commitFull(ctx *pipeline.Context) {
 	m := s.m
 	if m.journal != nil {
@@ -2284,52 +1949,6 @@ func (s *commitStage) commitFull(ctx *pipeline.Context) {
 	// Every committed placement may have moved: the shard routing index
 	// is rebuilt lazily from the fresh synthesis cache.
 	m.invalidateRoutes()
-
-	// Per-resource WCRT tables of the new committed configuration, read
-	// before the old maps are replaced: a non-deferred attempt analyzed
-	// (or spliced) every job, so pendingResults is complete; a deferred
-	// attempt has no results yet — only digest-clean resources keep their
-	// tables, probed from the old committed maps.
-	timing := make(map[string]TimingResult, len(m.pendingJobs))
-	for i, jb := range m.pendingJobs {
-		switch {
-		case m.pendingResults != nil:
-			timing[jb.resource] = m.pendingResults[i]
-		case m.deployedDigest[jb.resource] == jb.digest:
-			if tr, ok := m.deployedTiming[jb.resource]; ok {
-				timing[jb.resource] = tr
-			}
-		}
-	}
-
-	digests := make(map[string]uint64, len(ctx.TimingDigests))
-	for k, v := range ctx.TimingDigests {
-		digests[k] = v
-	}
-	m.deployedDigest = digests
-	m.deployedTiming = timing
-
-	// Persist the per-resource CPA task sets so the next proposal's
-	// timing-job construction can splice clean resources without a scan.
-	jobs := make(map[string]timingJob, len(m.pendingJobs))
-	for _, j := range m.pendingJobs {
-		jobs[j.resource] = j
-	}
-	m.deployedJobs = jobs
-
-	// Chunked committed-resource table: the job list is already in
-	// deterministic resource order (processor prefix, then networks), and
-	// the timing map just built holds whatever tables are known (all of
-	// them on a verified commit, clean ones only under deferred checks).
-	list := make([]committedRes, len(m.pendingJobs))
-	procCount := 0
-	for i, jb := range m.pendingJobs {
-		if !jb.spnp {
-			procCount++
-		}
-		list[i] = committedRes{job: jb, res: timing[jb.resource]}
-	}
-	m.deployedRes = resTableFrom(list, procCount)
 
 	// Rebuild the synthesis lookup tables and the per-connection security
 	// verdict cache only when the incremental pre-timing stages (their
@@ -2401,12 +2020,11 @@ func flowTouchIndex(flows []model.Flow) map[string]bool {
 	return out
 }
 
-// commitIncremental updates the deployed caches with keyed writes: only
-// the resources this attempt scanned (affected processors, plus every
-// network when messages were re-derived) and the diff-touched lookup
-// entries are written or deleted, everything else keeps its committed
-// entry by the splice invariant. Every write goes through the window
-// journal when one is open.
+// commitIncremental updates the deployed caches other than the timing
+// table with keyed writes: only the diff-touched lookup entries are
+// written or deleted, everything else keeps its committed entry by the
+// splice invariant. Every write goes through the window journal when one
+// is open.
 func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 	m, j := s.m, s.m.journal
 
@@ -2429,139 +2047,6 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 		if j == nil || len(old) == 0 || len(j.loads) == 0 || &old[0] != &j.loads[0] {
 			m.loadScratch = old
 		}
-	}
-
-	// Index this attempt's freshly scanned jobs by resource.
-	fresh := make(map[string]int, len(m.scratch.scannedIdx))
-	for _, i := range m.scratch.scannedIdx {
-		fresh[m.pendingJobs[i].resource] = i
-	}
-	commitResource := func(r string) {
-		i, ok := fresh[r]
-		if !ok {
-			// Affected resource that no longer carries load.
-			jdel(j.jJobs(), m.deployedJobs, r)
-			jdel(j.jDigests(), m.deployedDigest, r)
-			jdel(j.jTiming(), m.deployedTiming, r)
-			return
-		}
-		job := m.pendingJobs[i]
-		oldDigest, had := m.deployedDigest[r]
-		jset(j.jJobs(), m.deployedJobs, r, job)
-		jset(j.jDigests(), m.deployedDigest, r, job.digest)
-		switch {
-		case m.pendingResults != nil:
-			jset(j.jTiming(), m.deployedTiming, r, m.pendingResults[i])
-		case !had || oldDigest != job.digest:
-			// Deferred checks: the dirty analysis has not run yet; drop
-			// the stale table (the stream scheduler's verification
-			// backfills it on success, the window replays on failure).
-			jdel(j.jTiming(), m.deployedTiming, r)
-		}
-	}
-	for pn := range ctx.AffectedProcs {
-		commitResource(pn)
-	}
-	if ctx.MessagesRebuilt {
-		for i := range m.platform.Networks {
-			if name := m.platform.Networks[i].Name; !netClean(ctx, name) {
-				commitResource(name)
-			}
-		}
-	}
-
-	// Committed-resource table: this attempt's job list is the new
-	// committed resource order. When the splice left the shape unchanged
-	// (same length, every spliced entry in place, every scanned position
-	// replacing the same resource), the table is patched copy-on-write —
-	// spine plus affected chunks, O(diff) — leaving the previous table (a
-	// window rollback point, a bound report snapshot) intact and shared.
-	// A shape change (resources gaining or losing load) or a map-walk job
-	// list rebuilds the table wholesale, O(n) but rare in steady state.
-	// Either way an accepted commit always leaves a non-nil table, so
-	// report binding and DeployedMonitors stay universally valid. Scanned
-	// entries take this attempt's fresh table (or none yet under deferred
-	// checks — the map probe finds the committed table of a digest-clean
-	// rescan and misses for a dirty one, whose table the stream
-	// scheduler's verification patches in on success).
-	t := m.deployedRes
-	if m.scratch.sparse {
-		// Sparse job list: every entry is a positional replacement of the
-		// committed index sparsePos records; patch copy-on-write exactly
-		// like the aligned splice, without ever materializing the full
-		// list. (The wholesale-rebuild branch below must not run here —
-		// it would take the footprint-sized job list for the platform.)
-		updates := make([]resUpdate, 0, len(m.scratch.scannedIdx))
-		for k, i := range m.scratch.scannedIdx {
-			jb := m.pendingJobs[i]
-			cr := committedRes{job: jb}
-			switch {
-			case m.pendingResults != nil:
-				cr.res = m.pendingResults[i]
-			default:
-				if tr, ok := m.deployedTiming[jb.resource]; ok && m.deployedDigest[jb.resource] == jb.digest {
-					cr.res = tr
-				}
-			}
-			updates = append(updates, resUpdate{m.scratch.sparsePos[k], cr})
-		}
-		m.deployedRes = t.patch(updates)
-	}
-	aligned := !m.scratch.sparse && t != nil && t.n == len(m.pendingJobs) && len(m.scratch.spliceSrc) == len(m.pendingJobs)
-	if aligned {
-		for i, src := range m.scratch.spliceSrc {
-			if src == i {
-				continue
-			}
-			if src != -1 || t.at(i).job.resource != m.pendingJobs[i].resource || t.at(i).job.spnp != m.pendingJobs[i].spnp {
-				aligned = false
-				break
-			}
-		}
-	}
-	if aligned {
-		updates := make([]resUpdate, 0, len(m.scratch.scannedIdx))
-		for _, i := range m.scratch.scannedIdx {
-			jb := m.pendingJobs[i]
-			cr := committedRes{job: jb}
-			switch {
-			case m.pendingResults != nil:
-				cr.res = m.pendingResults[i]
-			default:
-				if tr, ok := m.deployedTiming[jb.resource]; ok && m.deployedDigest[jb.resource] == jb.digest {
-					cr.res = tr
-				}
-			}
-			updates = append(updates, resUpdate{i, cr})
-		}
-		m.deployedRes = t.patch(updates)
-	} else if !m.scratch.sparse {
-		list := make([]committedRes, len(m.pendingJobs))
-		procCount := 0
-		for i, jb := range m.pendingJobs {
-			if !jb.spnp {
-				procCount++
-			}
-			cr := committedRes{job: jb}
-			switch {
-			case len(m.scratch.spliceSrc) == len(m.pendingJobs) && m.scratch.spliceSrc[i] >= 0:
-				cr.res = t.at(m.scratch.spliceSrc[i]).res
-				if cr.res.Results == nil {
-					// Deferred-committed entry: heal from the map, which
-					// the verification pass backfilled (zero if still
-					// unverified).
-					cr.res = m.deployedTiming[jb.resource]
-				}
-			case m.pendingResults != nil:
-				cr.res = m.pendingResults[i]
-			default:
-				if tr, ok := m.deployedTiming[jb.resource]; ok && m.deployedDigest[jb.resource] == jb.digest {
-					cr.res = tr
-				}
-			}
-			list[i] = cr
-		}
-		m.deployedRes = resTableFrom(list, procCount)
 	}
 
 	// Security verdict cache: the connection set changes only when the

@@ -445,11 +445,11 @@ func (s *StreamScheduler) prefetch(tasks []func()) {
 // deferred busy-window verdict is read back (a memo hit after prefetch)
 // and checked exactly as the timing stage would have. On success the
 // report's timing delta is filled with fresh copies of the deferred
-// verdicts, the committed timing map is backfilled (journaled, so a
-// later proposal's failed verdict rolls it back), the window heal map
-// learns the verdicts for the table snapshots bound by this window's
-// earlier commits, and the live committed table is patched copy-on-write
-// so post-window snapshots are complete. On any failed check it reports
+// verdicts, the window heal map learns the verdicts for the table
+// snapshots bound by this window's earlier commits, and the live
+// committed table is patched copy-on-write — the entry whose committed
+// job still has the verified digest takes the table, so later proposals
+// find it clean and post-window snapshots are complete. On any failed check it reports
 // false and leaves the caller to replay the window.
 func (s *StreamScheduler) verifyDeferred(rep *Report, dt *deferredChecks) bool {
 	return s.verifyDeferredInto(rep, dt, nil)
@@ -496,7 +496,6 @@ func (s *StreamScheduler) verifyDeferredInto(rep *Report, dt *deferredChecks, si
 				return false
 			}
 		}
-		jset(m.journal.jTiming(), m.deployedTiming, job.resource, res)
 		if m.windowHeals != nil {
 			m.windowHeals[resDigestKey{job.resource, job.digest}] = res
 		}

@@ -13,8 +13,8 @@ import (
 // streams with overlapping footprints and planted mid-window rejections
 // (timing deadline-missers and safety findings) force optimistic windows
 // to replay, and after every stream the controller's deployed caches —
-// timing jobs, digests, WCRT tables, synthesis lookup tables, budget
-// groups, monitor plan — must be bit-identical to a fresh controller
+// the committed timing table (jobs, digests, WCRT tables), synthesis
+// lookup tables, budget groups, monitor plan — must be bit-identical to a fresh controller
 // that proposed the same stream serially. Run under -race in CI, this
 // also exercises the prefetch pool against the journal writes.
 
@@ -98,9 +98,7 @@ func cacheFingerprint(m *MCC) map[string]any {
 		"tasks":    impl.Tasks,
 		"messages": impl.Messages,
 		"conns":    impl.Connections,
-		"digests":  m.deployedDigest,
-		"timing":   m.deployedTiming,
-		"jobs":     m.deployedJobs,
+		"timing":   committedEntries(m),
 		"monitors": m.DeployedMonitors(),
 		"synFns":   fns,
 		"synIns":   insts,

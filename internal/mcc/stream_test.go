@@ -93,17 +93,18 @@ func TestTimingJobsIncrementalMatchesFullScan(t *testing.T) {
 		if rep := m.ProposeUpdate(f); !rep.Accepted {
 			t.Fatalf("%s rejected: %v (%s)", f.Name, rep.Findings, rep.RejectedAt)
 		}
-		full, _ := m.timingJobs(nil, m.DeployedImpl())
-		fromScan := make(map[string]uint64, len(full))
-		for _, j := range full {
-			fromScan[j.resource] = j.digest
+		// A cold pass against an empty table inserts every loaded
+		// resource: its edits are the from-scratch job list.
+		full, _ := m.timingFootprint(nil, m.DeployedImpl(), nil)
+		var fromScan, cached []timingJob
+		for _, e := range full {
+			fromScan = append(fromScan, e.job)
 		}
-		cached := make(map[string]uint64, len(m.deployedJobs))
-		for res, j := range m.deployedJobs {
-			cached[res] = j.digest
+		for _, cr := range committedEntries(m) {
+			cached = append(cached, cr.job)
 		}
 		if !reflect.DeepEqual(fromScan, cached) {
-			t.Fatalf("after %s: cached jobs diverge from full scan:\nscan  %v\ncache %v",
+			t.Fatalf("after %s: committed jobs diverge from full scan:\nscan  %+v\ncache %+v",
 				f.Name, fromScan, cached)
 		}
 	}
@@ -112,9 +113,12 @@ func TestTimingJobsIncrementalMatchesFullScan(t *testing.T) {
 // --- incremental monitor planning -------------------------------------------
 
 func TestMonitorSpliceMatchesFullPlan(t *testing.T) {
-	// Across additions, updates of flow endpoints, and removals, the
-	// spliced monitor plan must be element-for-element identical to the
-	// from-scratch plan over the same implementation model.
+	// Across additions, updates of flow endpoints, and removals — among
+	// them changes that give a resource its first load or take its last
+	// one away, which insert into or delete from the committed table —
+	// the spliced monitor plan must be element-for-element identical to
+	// the from-scratch plan over the same implementation model, and the
+	// committed timing table to the from-scratch oracle's.
 	m, err := New(testPlatform())
 	if err != nil {
 		t.Fatal(err)
@@ -125,26 +129,156 @@ func TestMonitorSpliceMatchesFullPlan(t *testing.T) {
 		name   string
 		run    func() *Report
 		splice bool
+		// shape names resources the step must insert into (true) or
+		// delete from (false) the committed table.
+		shape map[string]bool
 	}{
-		{"add telemetry", func() *Report { return m.ProposeUpdate(fn("telemetry", model.QM, 100000, 2000, 64)) }, true},
+		{"add telemetry", func() *Report { return m.ProposeUpdate(fn("telemetry", model.QM, 100000, 2000, 64)) }, true, nil},
 		{"update acc", func() *Report {
 			return m.ProposeUpdate(withRequires(fn("acc", model.ASILD, 20000, 2500, 512), "objects"))
-		}, true},
-		{"remove infotainment", func() *Report { return m.ProposeRemoval("infotainment") }, true},
+		}, true, nil},
+		{"remove infotainment", func() *Report { return m.ProposeRemoval("infotainment") }, true, nil},
+		{"remove telemetry, emptying a processor", func() *Report { return m.ProposeRemoval("telemetry") }, true,
+			map[string]bool{"ecu-perf": false}},
+		{"add logger, a processor's first load", func() *Report { return m.ProposeUpdate(fn("logger", model.QM, 200000, 1000, 32)) }, true,
+			map[string]bool{"ecu-perf": true}},
+		{"remove acc, emptying a processor and the network", func() *Report { return m.ProposeRemoval("acc") }, true,
+			map[string]bool{"ecu-safe": false, "can0": false}},
+		{"re-add acc and its flow, the network's first load", func() *Report {
+			fa := m.Deployed().Clone()
+			fa.Functions = append(fa.Functions, withRequires(fn("acc", model.ASILD, 20000, 2500, 512), "objects"))
+			fa.Flows = append(fa.Flows, model.Flow{From: "radar", To: "acc", Service: "objects", MsgBytes: 8, PeriodUS: 20000})
+			return m.ProposeArchitecture(fa)
+		}, true, map[string]bool{"ecu-safe": true, "can0": true}},
 	}
 	for _, step := range steps {
+		before := m.deployedRes
 		rep := step.run()
 		if !rep.Accepted {
 			t.Fatalf("%s rejected: %v (%s)", step.name, rep.Findings, rep.RejectedAt)
 		}
-		want := m.planMonitors(m.DeployedImpl())
+		for res, insert := range step.shape {
+			if was, now := before.find(res) >= 0, m.deployedRes.find(res) >= 0; was == insert || now != insert {
+				t.Fatalf("%s: %s in committed table before %v, after %v; want insert=%v", step.name, res, was, now, insert)
+			}
+		}
+		want := planMonitors(m.DeployedImpl())
 		if got := rep.FullMonitors(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: materialized plan diverges from full plan:\nmaterialized %+v\nfull         %+v",
 				step.name, got, want)
 		}
+		oracle, _, err := FromScratchTables(m.platform, m.DeployedImpl())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.FullTiming(); !reflect.DeepEqual(got, oracle) {
+			t.Fatalf("%s: committed timing table diverges from the oracle:\ncommitted %+v\noracle    %+v",
+				step.name, got, oracle)
+		}
 		if tr := rep.StageTraceFor(StageMonitors); step.splice && (tr == nil || !strings.Contains(tr.Note, "monitor delta")) {
 			t.Fatalf("%s: monitor trace = %+v, want delta telemetry", step.name, tr)
 		}
+	}
+}
+
+// twoSegmentPlatform has one CAN segment per processor pair: a1 (the only
+// ASIL-D core) and a2 on netA, b1 and b2 (large RAM) on netB.
+func twoSegmentPlatform() *model.Platform {
+	return &model.Platform{
+		Processors: []model.Processor{
+			{Name: "a1", Policy: model.SPP, SpeedFactor: 1.0, RAMKiB: 1024, MaxSafety: model.ASILD},
+			{Name: "a2", Policy: model.SPP, SpeedFactor: 1.0, RAMKiB: 1024, MaxSafety: model.QM},
+			{Name: "b1", Policy: model.SPP, SpeedFactor: 1.0, RAMKiB: 8192, MaxSafety: model.QM},
+			{Name: "b2", Policy: model.SPP, SpeedFactor: 1.0, RAMKiB: 8192, MaxSafety: model.QM},
+		},
+		Networks: []model.Network{
+			{Name: "netA", BitsPerSec: 500_000, Attached: []string{"a1", "a2"}, Kind: "can"},
+			{Name: "netB", BitsPerSec: 500_000, Attached: []string{"b1", "b2"}, Kind: "can"},
+		},
+	}
+}
+
+func withProvides(f model.Function, svcs ...string) model.Function {
+	f.Provides = append(f.Provides, svcs...)
+	return f
+}
+
+func TestMessageRebuildRescansOnlyChangedNetworks(t *testing.T) {
+	// Two flows cross netA (a1 -> a2), one crosses netB (b1 -> b2). An
+	// update raising dstA to ASIL-D moves it under the warm mapping onto
+	// a1, next to its source: the flow set is unchanged, but the moved
+	// endpoint forces the partial synthesis to re-derive the messages,
+	// and only netA's list changes. The timing stage must rescan exactly
+	// the two affected processors and netA, the monitor delta must still
+	// cover every network, and the committed tables must equal the
+	// from-scratch oracle's.
+	m, err := New(twoSegmentPlatform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa := &model.FunctionalArchitecture{
+		Functions: []model.Function{
+			withProvides(fn("srcA", model.ASILD, 10000, 1000, 64), "sa"),
+			withProvides(fn("srcA2", model.ASILD, 10000, 1000, 64), "sa2"),
+			withRequires(fn("dstA", model.QM, 20000, 1000, 64), "sa"),
+			withRequires(fn("dstA2", model.QM, 20000, 1000, 64), "sa2"),
+			withProvides(fn("srcB", model.QM, 10000, 2000, 2048), "sb"),
+			withRequires(fn("dstB", model.QM, 10000, 2000, 2048), "sb"),
+		},
+		Flows: []model.Flow{
+			{From: "srcA", To: "dstA", Service: "sa", MsgBytes: 8, PeriodUS: 20000},
+			{From: "srcA2", To: "dstA2", Service: "sa2", MsgBytes: 8, PeriodUS: 20000},
+			{From: "srcB", To: "dstB", Service: "sb", MsgBytes: 8, PeriodUS: 10000},
+		},
+	}
+	if rep := m.ProposeArchitecture(fa); !rep.Accepted {
+		t.Fatalf("baseline rejected: %v (%s)", rep.Findings, rep.RejectedAt)
+	}
+	placedOn := func(name string) string {
+		return m.deployedSynth.instancesOf[name][0].Processor
+	}
+	if got := placedOn("dstA"); got != "a2" {
+		t.Fatalf("baseline placed dstA on %s, want a2", got)
+	}
+
+	rep := m.ProposeUpdate(withRequires(fn("dstA", model.ASILD, 20000, 1000, 64), "sa"))
+	if !rep.Accepted {
+		t.Fatalf("update rejected: %v (%s)", rep.Findings, rep.RejectedAt)
+	}
+	if got := placedOn("dstA"); got != "a1" {
+		t.Fatalf("update placed dstA on %s, want a1", got)
+	}
+	if tr := rep.StageTraceFor(StageSynth); tr == nil || !strings.Contains(tr.Note, "messages rebuilt") {
+		t.Fatalf("synthesis trace = %+v, want a message rebuild", tr)
+	}
+	if rep.TimingScans != 3 {
+		t.Fatalf("update scanned %d resources, want 3 (a1, a2, netA)", rep.TimingScans)
+	}
+
+	impl := m.DeployedImpl()
+	if len(impl.Messages) != 2 {
+		t.Fatalf("messages = %+v, want sa2 on netA and sb on netB", impl.Messages)
+	}
+	rates := make(map[string]bool)
+	for _, ms := range rep.MonitorDelta {
+		if ms.Kind == MonitorRate {
+			rates[ms.Target] = true
+		}
+	}
+	for _, msg := range impl.Messages {
+		if !rates[msg.Name] {
+			t.Fatalf("monitor delta lacks the rate monitor of %s on %s: %+v", msg.Name, msg.Network, rep.MonitorDelta)
+		}
+	}
+	timing, monitors, err := FromScratchTables(m.platform, impl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.FullTiming(); !reflect.DeepEqual(got, timing) {
+		t.Fatalf("committed timing diverges from the oracle:\ncommitted %+v\noracle    %+v", got, timing)
+	}
+	if got := rep.FullMonitors(); !reflect.DeepEqual(got, monitors) {
+		t.Fatalf("committed monitors diverge from the oracle:\ncommitted %+v\noracle    %+v", got, monitors)
 	}
 }
 
@@ -177,7 +311,7 @@ func TestMonitorPlanUntouchedByRejection(t *testing.T) {
 	if !rep.Accepted {
 		t.Fatalf("post-rejection proposal rejected: %v", rep.Findings)
 	}
-	if want := m.planMonitors(m.DeployedImpl()); !reflect.DeepEqual(rep.FullMonitors(), want) {
+	if want := planMonitors(m.DeployedImpl()); !reflect.DeepEqual(rep.FullMonitors(), want) {
 		t.Fatalf("post-rejection monitor plan diverges from full plan")
 	}
 }
@@ -230,8 +364,8 @@ func streamParity(t *testing.T, p *model.Platform, baseline []model.Function, ch
 	if !reflect.DeepEqual(streamed.DeployedImpl().Tasks, serial.DeployedImpl().Tasks) {
 		t.Fatal("final task sets diverge")
 	}
-	if !reflect.DeepEqual(streamed.deployedDigest, serial.deployedDigest) {
-		t.Fatal("final timing digests diverge")
+	if !reflect.DeepEqual(committedEntries(streamed), committedEntries(serial)) {
+		t.Fatal("final committed timing tables (digests, task sets, WCRT tables) diverge")
 	}
 	if !reflect.DeepEqual(streamed.DeployedMonitors(), serial.DeployedMonitors()) {
 		t.Fatal("final monitor plans diverge")
@@ -304,6 +438,69 @@ func TestStreamSchedulerReplayOnTimingReject(t *testing.T) {
 	}
 	if st := sched.Stats(); st.Replays != 1 {
 		t.Fatalf("stats = %+v, want exactly one replay", st)
+	}
+}
+
+func TestStreamReplayRestoresShapeChangedTable(t *testing.T) {
+	// A window whose optimistic commits change the committed table's
+	// shape — newbie gives the idle q2 its first load (insert), mover's
+	// ASIL-D upgrade takes the last load off q (delete) — and whose last
+	// change then fails its deferred busy-window verdict next to a. The
+	// rollback must restore the window-start table, so the serial replay
+	// ends where a serial controller does.
+	p := &model.Platform{
+		Processors: []model.Processor{
+			{Name: "s1", Policy: model.SPP, SpeedFactor: 1.0, RAMKiB: 8192, MaxSafety: model.ASILD},
+			{Name: "q", Policy: model.SPP, SpeedFactor: 1.0, RAMKiB: 8192, MaxSafety: model.QM},
+			{Name: "q2", Policy: model.SPP, SpeedFactor: 1.0, RAMKiB: 8192, MaxSafety: model.QM},
+		},
+	}
+	baseline := []model.Function{
+		fn("a", model.ASILD, 10000, 5200, 1),
+		fn("mover", model.QM, 100000, 1000, 1),
+	}
+	changes := []Change{
+		upd(fn("newbie", model.QM, 100000, 1000, 1)),
+		upd(fn("mover", model.ASILD, 100000, 1000, 1)),
+		upd(fn("c", model.ASILD, 14000, 5200, 1)), // misses deadlines next to a
+	}
+	sched, got := streamParity(t, p, baseline, changes, WithStreamWindow(8))
+	if !got[0].Accepted || !got[1].Accepted || got[2].Accepted || got[2].RejectedAt != StageTiming {
+		t.Fatalf("decisions %v %v %v@%q, want accept, accept, timing rejection",
+			got[0].Accepted, got[1].Accepted, got[2].Accepted, got[2].RejectedAt)
+	}
+	if st := sched.Stats(); st.Windows != 1 || st.Replays != 1 {
+		t.Fatalf("stats = %+v, want one window, replayed once", st)
+	}
+
+	// The window's rollback point, driven directly: optimistic commits
+	// that insert and delete entries, then the rollback the failed
+	// verdict triggers.
+	m, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range baseline {
+		if rep := m.ProposeUpdate(f); !rep.Accepted {
+			t.Fatalf("baseline %s rejected: %v", f.Name, rep.Findings)
+		}
+	}
+	start, entries := m.deployedRes, committedEntries(m)
+	j := m.beginWindow()
+	m.deferChecks = true
+	for _, c := range changes {
+		if rep := m.propose(c); !rep.Accepted {
+			t.Fatalf("%s not accepted optimistically: %v", c, rep.Findings)
+		}
+	}
+	m.deferChecks = false
+	if m.deployedRes.find("q2") < 0 || m.deployedRes.find("q") >= 0 {
+		t.Fatalf("optimistic commits left q2 at %d and q at %d, want q2 inserted and q deleted",
+			m.deployedRes.find("q2"), m.deployedRes.find("q"))
+	}
+	m.rollbackWindow(j)
+	if m.deployedRes != start || !reflect.DeepEqual(committedEntries(m), entries) {
+		t.Fatalf("rollback left table %+v, want the window-start table %+v", committedEntries(m), entries)
 	}
 }
 
